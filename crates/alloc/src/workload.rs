@@ -23,7 +23,7 @@ use coherence_sim::{CostModel, Directory, HandoffChannel};
 use lbench::pace::spin_wall;
 use lbench::{
     run_scenario, AnyLockKind, BenchLock, CohortStats, KeyDist, KeyedCtx, KeyedOp, KeyedService,
-    KeyedServiceFactory, KeyedSpec, LBenchConfig, LockKind, Scenario,
+    KeyedServiceFactory, KeyedSpec, LBenchConfig, LockKind, OpOutcome, Scenario,
 };
 use numa_topology::{vclock, Topology};
 use rand::rngs::StdRng;
@@ -193,8 +193,8 @@ impl KeyedServiceFactory for MmicroServiceFactory {
 /// One [`KeyedService`] op = one full malloc→init→delay→free→delay pair,
 /// replicating the legacy driver's program exactly: no window check in
 /// the malloc critical section (only the free side checks), an
-/// arena-exhausted malloc yields and returns `false` (uncounted, no
-/// delay draws), and both delays pace uncapped.
+/// arena-exhausted malloc yields and is skipped (uncounted, no delay
+/// draws), and both delays pace uncapped. Latency is the whole pair.
 struct MmicroService {
     shared: SharedAlloc,
     dir: Arc<Directory>,
@@ -205,7 +205,8 @@ struct MmicroService {
 }
 
 impl KeyedService for MmicroService {
-    fn op(&self, _op: &KeyedOp, ctx: &KeyedCtx<'_>, rng: &mut StdRng) -> bool {
+    fn op(&self, _op: &KeyedOp, ctx: &KeyedCtx<'_>, rng: &mut StdRng) -> OpOutcome {
+        let start = vclock::now();
         // --- malloc (critical section) ---
         let addr = self.shared.with_lock(|a| {
             self.handoff.on_acquire(ctx.cluster);
@@ -220,7 +221,7 @@ impl KeyedService for MmicroService {
             // Arena exhausted (should not happen at mmicro sizes): back
             // off and retry.
             std::thread::yield_now();
-            return false;
+            return OpOutcome::Skipped;
         };
 
         // --- initialize the block (application, outside the lock): the
@@ -251,7 +252,7 @@ impl KeyedService for MmicroService {
         let d2 = rng.gen_range(0..=self.delay_max_ns);
         vclock::advance(d2);
         spin_wall(d2 * ctx.kappa, true);
-        true
+        OpOutcome::since(start)
     }
 
     fn acquisitions(&self) -> u64 {

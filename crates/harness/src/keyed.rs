@@ -1,61 +1,60 @@
 //! Keyed-op scenarios: the scenario engine driving *service* workloads.
 //!
-//! The kvstore and allocator case studies used to bypass the engine with
-//! hand-rolled measurement loops (`run_kv`, `run_mmicro`) — the last
-//! `Measure::Custom` holdouts after PR 4 unified everything else on
-//! [`run_scenario`](crate::run_scenario). This module retires them: a
-//! [`KeyedSpec`] on a [`Scenario`] adds the *keyed-op dimension* — a
-//! key-distribution ([`KeyDist`]: uniform, Zipfian skew, hot-set flash
+//! A [`KeyedSpec`] on a [`Scenario`] adds the *keyed-op dimension* — a
+//! key distribution ([`KeyDist`]: uniform, Zipfian skew, hot-set flash
 //! crowds, composable with [`LoadShape::Bursty`](crate::LoadShape)) and
 //! a [`KeyedServiceFactory`] that builds the service under test (an
-//! N-shard KV store, the allocator arena) — and [`run_keyed`] is the one
-//! driver that measures it, reporting the full [`ScenarioResult`]
-//! surface including per-op latency percentiles from the PR-5 reservoir.
+//! N-shard KV store, the allocator arena). [`run_scenario`](crate::run_scenario)
+//! measures it with the same real-thread loop it runs every unkeyed
+//! scenario through — an unkeyed scenario *is* a one-lock
+//! [`KeyedService`] with keyspace 0 — and reports the full
+//! [`ScenarioResult`](crate::ScenarioResult) surface, including per-op
+//! latency percentiles.
 //!
-//! **Parity contract.** The engine's realtime loop replicates the legacy
-//! drivers' per-thread programs exactly — same RNG draw order (key, then
-//! the read/write coin), same unconditional `kappa_for(threads)` pacing,
-//! same out-of-lock parse advance — so the thin `run_kv`/`run_mmicro`
-//! wrappers reproduce their historical single-thread numbers to the bit
-//! (pinned by `tests/kv_scenario_parity.rs`). Two consequences worth
-//! naming: the engine performs **no window stop-checks of its own** —
-//! the service checks the window inside its critical sections exactly
-//! where the old drivers did (a driver that crossed the window during
-//! its out-of-lock delay still started one more op) — and the read/write
-//! coin is only drawn when [`Scenario::draws_coin`] says so (for
-//! exclusive kinds: when the scenario can produce reads at all), which
-//! matches every mix the legacy drivers ever ran.
+//! **Parity contract.** The realtime loop replicates the legacy
+//! `run_kv`/`run_mmicro` drivers' per-thread programs exactly — same RNG
+//! draw order (key, then the read/write coin), same `kappa_for(threads)`
+//! pacing, same out-of-lock parse advance — so the thin wrappers
+//! reproduce their historical single-thread numbers to the bit (pinned
+//! by `tests/kv_scenario_parity.rs`). Two consequences worth naming: the
+//! loop performs **no window stop-checks around ops** — the service
+//! checks the window inside its critical sections exactly where the old
+//! drivers did (a driver that crossed the window during its out-of-lock
+//! delay still started one more op) — and the read/write coin is only
+//! drawn when [`Scenario::draws_coin`] says so (for exclusive kinds: when
+//! the scenario can produce reads at all), which matches every mix the
+//! legacy drivers ever ran.
 //!
-//! **Modelled mode.** With [`CostMode::Modelled`], the run becomes a
-//! deterministic sequential simulation: logical threads' ops execute one
-//! at a time in (virtual-clock, thread-id) order, each against the real
-//! service, and per-shard serialization emerges from the service's own
-//! [`HandoffChannel`](coherence_sim::HandoffChannel) catch-up — the
-//! channel raises the caller's clock past the previous holder's release,
-//! which is arrival-order FIFO admission per shard. Cohort *reordering*
-//! within a shard's queue is not modelled here (the service's real lock
-//! is called, but sequential execution keeps it uncontended); the mode
-//! exists for bit-reproducible tail-latency and shard-scaling statements
-//! at client counts far beyond what real threads can offer, not for
-//! admission-policy separations (those live in `modelled.rs`). Because
-//! costs are charged through the service's *own* directory and handoff
-//! channels, the scenario's modelled [`CostModel`](coherence_sim::CostModel)
-//! prices nothing on this path — the factory decides the model.
+//! **Modelled mode.** With [`CostMode::Modelled`](crate::CostMode), the
+//! run becomes a deterministic sequential simulation: logical threads'
+//! ops execute one at a time in (virtual-clock, thread-id) order, each
+//! against the real service, and per-shard serialization emerges from the
+//! service's own [`HandoffChannel`](coherence_sim::HandoffChannel)
+//! catch-up — the channel raises the caller's clock past the previous
+//! holder's release, which is arrival-order FIFO admission per shard.
+//! Cohort *reordering* within a shard's queue is not modelled here (the
+//! service's real lock is called, but sequential execution keeps it
+//! uncontended); the mode exists for bit-reproducible tail-latency and
+//! shard-scaling statements at client counts far beyond what real
+//! threads can offer, not for admission-policy separations (those live
+//! in `modelled.rs`). Because costs are charged through the service's
+//! *own* directory and handoff channels, the scenario's modelled
+//! [`CostModel`](coherence_sim::CostModel) prices nothing on this path —
+//! the factory decides the model.
 
-use crate::pace::{kappa_for, spin_wall};
 use crate::registry::AnyLockKind;
 use crate::runner::LBenchConfig;
 use crate::scenario::{
-    cluster_for, merge_lat_reservoirs, percentile, CostMode, LatReservoir, Scenario, ScenarioResult,
+    cluster_for, merge_lat_reservoirs, LatReservoir, Scenario, ScenarioResult, Tally,
 };
 use coherence_sim::take_thread_stats;
 use cohort::CohortStats;
-use numa_topology::{bind_current_thread, vclock, ClusterId, Topology};
+use numa_topology::{vclock, ClusterId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How clients pick keys — the "internet-shaped traffic" axis.
@@ -174,6 +173,8 @@ pub struct KeyedOp {
 
 /// Per-thread context a [`KeyedService`] operates under.
 pub struct KeyedCtx<'a> {
+    /// The calling thread's index in `0..threads`.
+    pub thread: usize,
     /// The calling thread's NUMA cluster.
     pub cluster: ClusterId,
     /// Wall-pacing multiplier (κ); 0 in modelled mode, where no wall
@@ -187,16 +188,41 @@ pub struct KeyedCtx<'a> {
     pub stop: &'a AtomicBool,
 }
 
-/// A service the keyed engine can drive: executes one op end to end
-/// (acquiring its own locks, charging its own directory/handoff costs,
-/// pacing, and window-checking), and exposes the counters the
-/// [`ScenarioResult`] surface needs.
+/// What one [`KeyedService::op`] came to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpOutcome {
+    /// The op completed and counts; `lat_ns` is its latency sample
+    /// (`None` records none — a shared read that queued on nothing).
+    Counted {
+        /// Virtual nanoseconds to record in the latency reservoir.
+        lat_ns: Option<u64>,
+    },
+    /// An abortable acquisition ran out of patience: booked as an abort,
+    /// not as an op.
+    Aborted,
+    /// The op must not be counted (e.g. an allocator retry after arena
+    /// exhaustion): no latency sample, no op, no out-of-lock parse
+    /// advance.
+    Skipped,
+}
+
+impl OpOutcome {
+    /// A counted op whose latency sample is the whole op: the virtual
+    /// time elapsed since `start_ns`.
+    pub fn since(start_ns: u64) -> Self {
+        OpOutcome::Counted {
+            lat_ns: Some(vclock::now().saturating_sub(start_ns)),
+        }
+    }
+}
+
+/// A service the engine can drive: executes one op end to end (acquiring
+/// its own locks, charging its own directory/handoff costs, pacing, and
+/// window-checking), and exposes the counters the [`ScenarioResult`]
+/// surface needs.
 pub trait KeyedService: Send + Sync {
-    /// Executes one operation. Returns `false` when the op must not be
-    /// counted (e.g. an allocator retry after arena exhaustion); the
-    /// engine then skips the latency sample, the op count, and the
-    /// out-of-lock parse advance.
-    fn op(&self, op: &KeyedOp, ctx: &KeyedCtx<'_>, rng: &mut StdRng) -> bool;
+    /// Executes one operation and reports how the engine books it.
+    fn op(&self, op: &KeyedOp, ctx: &KeyedCtx<'_>, rng: &mut StdRng) -> OpOutcome;
 
     /// Exclusive acquisitions observed by the service's handoff
     /// channel(s), summed across shards.
@@ -253,6 +279,18 @@ pub struct KeyedSpec {
     pub factory: Arc<dyn KeyedServiceFactory>,
 }
 
+impl KeyedSpec {
+    /// Draws the next op's key (0, with no RNG draw, for a keyless
+    /// service).
+    pub(crate) fn draw_key(&self, rng: &mut StdRng) -> u64 {
+        if self.keyspace > 0 {
+            self.dist.sample(rng, self.keyspace)
+        } else {
+            0
+        }
+    }
+}
+
 impl fmt::Debug for KeyedSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("KeyedSpec")
@@ -264,162 +302,11 @@ impl fmt::Debug for KeyedSpec {
     }
 }
 
-/// Runs a keyed scenario — the service-workload twin of
-/// [`run_scenario_on`](crate::run_scenario_on). Dispatched automatically
-/// by [`run_scenario`](crate::run_scenario) when `scenario.keyed` is
-/// set.
-pub(crate) fn run_keyed(
-    kind: AnyLockKind,
-    spec: &KeyedSpec,
-    scenario: &Scenario,
-    cfg: &LBenchConfig,
-) -> ScenarioResult {
-    assert!(cfg.threads >= 1);
-    assert!(scenario.read_pct <= 100, "read_pct is a percentage");
-    // Same topology resolution as `run_scenario`: measured mode swaps in
-    // the probed cluster map (with physical pinning), falling back to
-    // virtual clusters with one warning per run.
-    let (topo, clusters) = crate::phys::resolve_topology(cfg);
-    let cfg = &LBenchConfig {
-        clusters,
-        ..cfg.clone()
-    };
-    let service = spec.factory.build(kind, &topo, scenario, cfg);
-    if matches!(scenario.cost_mode, CostMode::Modelled(_)) {
-        return run_keyed_modelled(kind, spec, scenario, cfg, &*service);
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(cfg.threads));
-    let started = Instant::now();
-    // The legacy drivers paced unconditionally at kappa_for(threads)
-    // (never consulting pace_wall/pace_scale); parity keeps that.
-    let kappa = kappa_for(cfg.threads);
-    let draws_coin = scenario.draws_coin(kind);
-    let pin_report = crate::phys::PinReport::new();
-    let mut cluster_ranks = vec![0usize; cfg.clusters];
-
-    let handles: Vec<_> = (0..cfg.threads)
-        .map(|i| {
-            let topo = Arc::clone(&topo);
-            let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
-            let barrier = Arc::clone(&barrier);
-            let pin_report = Arc::clone(&pin_report);
-            let cfg = cfg.clone();
-            let scenario = scenario.clone();
-            let spec = spec.clone();
-            let rank = {
-                let c = cluster_for(i, &cfg).as_usize();
-                let r = cluster_ranks[c];
-                cluster_ranks[c] += 1;
-                r
-            };
-            std::thread::spawn(move || {
-                let my_cluster = cluster_for(i, &cfg);
-                bind_current_thread(&topo, my_cluster);
-                pin_report.pin_worker(&topo, my_cluster, rank);
-                vclock::reset();
-                take_thread_stats();
-                let mut rng = StdRng::seed_from_u64(spec.seed ^ i as u64);
-                let mut reads = 0u64;
-                let mut writes = 0u64;
-                let mut lat = LatReservoir::for_config(&cfg);
-                let ctx = KeyedCtx {
-                    cluster: my_cluster,
-                    kappa,
-                    window_ns: cfg.window_ns,
-                    stop: &stop,
-                };
-                barrier.wait();
-                let wall_start = Instant::now();
-                let mut check = 0u32;
-                while !stop.load(Ordering::Relaxed) {
-                    // Load-shape gating (hot-key flash crowds compose a
-                    // skewed KeyDist with Bursty); a no-op under Steady,
-                    // so legacy RNG sequences are untouched.
-                    if let Some(gap) = scenario.shape.off_gap(vclock::now()) {
-                        vclock::advance(gap);
-                        spin_wall((gap * kappa).min(200_000), true);
-                        if vclock::now() >= cfg.window_ns {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        check = check.wrapping_add(1);
-                        if check.is_multiple_of(256) && wall_start.elapsed() > cfg.max_wall {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        continue;
-                    }
-
-                    // Legacy draw order: key first, then the coin.
-                    let key = if spec.keyspace > 0 {
-                        spec.dist.sample(&mut rng, spec.keyspace)
-                    } else {
-                        0
-                    };
-                    let cur_pct = scenario.shape.read_pct_at(vclock::now(), scenario.read_pct);
-                    let is_read = draws_coin && rng.gen_range(0u32..100) < cur_pct;
-                    let op = KeyedOp {
-                        key,
-                        is_read,
-                        stamp: reads + writes,
-                    };
-                    let lat_from = vclock::now();
-                    if service.op(&op, &ctx, &mut rng) {
-                        lat.record(vclock::now().saturating_sub(lat_from));
-                        if is_read {
-                            reads += 1;
-                        } else {
-                            writes += 1;
-                        }
-                        // Out-of-lock request handling (parallel fraction).
-                        vclock::advance(spec.parse_ns);
-                        spin_wall(spec.parse_ns * kappa, true);
-                    }
-
-                    check = check.wrapping_add(1);
-                    if check.is_multiple_of(256) && wall_start.elapsed() > cfg.max_wall {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-                (reads, writes, lat.into_parts(), take_thread_stats())
-            })
-        })
-        .collect();
-
-    let mut per_thread_ops = Vec::with_capacity(cfg.threads);
-    let mut read_ops = 0u64;
-    let mut write_ops = 0u64;
-    let mut remote_misses = 0u64;
-    let mut lat_parts = Vec::with_capacity(cfg.threads);
-    for h in handles {
-        let (r, w, thread_lat, stats) = h.join().expect("keyed worker panicked");
-        per_thread_ops.push(r + w);
-        read_ops += r;
-        write_ops += w;
-        remote_misses += stats.remote_misses;
-        lat_parts.push(thread_lat);
-    }
-    pin_report.log();
-    assemble(
-        kind,
-        scenario,
-        cfg,
-        &*service,
-        per_thread_ops,
-        read_ops,
-        write_ops,
-        remote_misses,
-        lat_parts,
-        started,
-    )
-}
-
 /// The deterministic substrate (see the module docs): logical threads'
 /// ops execute sequentially in (clock, thread-id) order against the real
 /// service; per-shard FIFO queueing emerges from the service's handoff
 /// channels. Bit-reproducible run to run.
-fn run_keyed_modelled(
+pub(crate) fn run_keyed_modelled(
     kind: AnyLockKind,
     spec: &KeyedSpec,
     scenario: &Scenario,
@@ -432,6 +319,7 @@ fn run_keyed_modelled(
         clock: u64,
         reads: u64,
         writes: u64,
+        aborts: u64,
         done: bool,
     }
     let started = Instant::now();
@@ -450,6 +338,7 @@ fn run_keyed_modelled(
             clock: 0,
             reads: 0,
             writes: 0,
+            aborts: 0,
             done: false,
         })
         .collect();
@@ -475,11 +364,7 @@ fn run_keyed_modelled(
             continue;
         }
         vclock::set(th.clock);
-        let key = if spec.keyspace > 0 {
-            spec.dist.sample(&mut th.rng, spec.keyspace)
-        } else {
-            0
-        };
+        let key = spec.draw_key(&mut th.rng);
         let cur_pct = scenario.shape.read_pct_at(th.clock, scenario.read_pct);
         let is_read = draws_coin && th.rng.gen_range(0u32..100) < cur_pct;
         let op = KeyedOp {
@@ -488,20 +373,26 @@ fn run_keyed_modelled(
             stamp: th.reads + th.writes,
         };
         let ctx = KeyedCtx {
+            thread: t,
             cluster: th.cluster,
             kappa: 0,
             window_ns: cfg.window_ns,
             stop: &stop,
         };
-        let lat_from = vclock::now();
-        if service.op(&op, &ctx, &mut th.rng) {
-            lat.record(vclock::now().saturating_sub(lat_from));
-            if is_read {
-                th.reads += 1;
-            } else {
-                th.writes += 1;
+        match service.op(&op, &ctx, &mut th.rng) {
+            OpOutcome::Counted { lat_ns } => {
+                if let Some(l) = lat_ns {
+                    lat.record(l);
+                }
+                if is_read {
+                    th.reads += 1;
+                } else {
+                    th.writes += 1;
+                }
+                vclock::advance(spec.parse_ns);
             }
-            vclock::advance(spec.parse_ns);
+            OpOutcome::Aborted => th.aborts += 1,
+            OpOutcome::Skipped => {}
         }
         let now = vclock::now();
         if now == th.clock {
@@ -519,99 +410,13 @@ fn run_keyed_modelled(
     let stats = take_thread_stats();
     vclock::set(saved_clock);
 
-    let per_thread_ops: Vec<u64> = ths.iter().map(|t| t.reads + t.writes).collect();
-    let read_ops: u64 = ths.iter().map(|t| t.reads).sum();
-    let write_ops: u64 = ths.iter().map(|t| t.writes).sum();
-    assemble(
-        kind,
-        scenario,
-        cfg,
-        service,
-        per_thread_ops,
-        read_ops,
-        write_ops,
-        stats.remote_misses,
-        vec![lat.into_parts()],
-        started,
-    )
-}
-
-/// Shared result assembly — the same formulas as the core engine's.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    kind: AnyLockKind,
-    scenario: &Scenario,
-    cfg: &LBenchConfig,
-    service: &dyn KeyedService,
-    per_thread_ops: Vec<u64>,
-    read_ops: u64,
-    write_ops: u64,
-    remote_misses: u64,
-    lat_parts: Vec<(Vec<u64>, u64)>,
-    started: Instant,
-) -> ScenarioResult {
-    let mut lat = merge_lat_reservoirs(lat_parts);
-    lat.sort_unstable();
-    let total_ops = read_ops + write_ops;
-    let acquisitions = service.acquisitions();
-    let migrations = service.migrations();
-    let window_s = cfg.window_ns as f64 / 1e9;
-    let (_, stddev_pct) = crate::stats::mean_stddev_pct(&per_thread_ops);
-    let cstats = service.cohort_stats();
-    let (tenures, local_handoffs, mean_streak, max_streak) = match &cstats {
-        Some(s) => (
-            s.tenures(),
-            s.local_handoffs(),
-            s.mean_streak(),
-            s.max_streak(),
-        ),
-        None => (0, 0, 0.0, 0),
-    };
-    ScenarioResult {
-        kind,
-        threads: cfg.threads,
-        read_pct: scenario.read_pct,
-        read_ops,
-        write_ops,
-        total_ops,
-        throughput: total_ops as f64 / window_s,
-        acquisitions,
-        migrations,
-        remote_misses,
-        misses_per_cs: if acquisitions > 0 {
-            (remote_misses + migrations) as f64 / acquisitions as f64
-        } else {
-            0.0
-        },
-        mean_batch: if migrations > 0 {
-            acquisitions as f64 / migrations as f64
-        } else {
-            acquisitions as f64
-        },
-        aborts: 0,
-        abort_rate: 0.0,
-        stddev_pct,
-        policy: service.policy_label(),
-        tenures,
-        local_handoffs,
-        mean_streak,
-        max_streak,
-        migrations_per_tenure: if tenures > 0 {
-            migrations as f64 / tenures as f64
-        } else {
-            0.0
-        },
-        fast_acquisitions: cstats.as_ref().map_or(0, |s| s.fast_acquisitions),
-        slow_acquisitions: cstats.as_ref().map_or(0, |s| s.slow_acquisitions),
-        passive_parks: cstats.as_ref().map_or(0, |s| s.passive_parks),
-        promotions: cstats.as_ref().map_or(0, |s| s.promotions),
-        succ_transitions: 0,
-        batch_hist: service.batch_hist(),
-        lat_p50_ns: percentile(&lat, 50.0),
-        lat_p99_ns: percentile(&lat, 99.0),
-        per_thread_ops,
-        wall: started.elapsed(),
+    let mut tally = Tally::of_service(service);
+    for th in &ths {
+        tally.add_thread(th.reads, th.writes, th.aborts);
     }
+    tally.remote_misses = stats.remote_misses;
+    tally.lat = merge_lat_reservoirs(vec![lat.into_parts()]);
+    ScenarioResult::assemble(kind, scenario, cfg, tally, started.elapsed())
 }
 
 #[cfg(test)]

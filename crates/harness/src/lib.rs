@@ -11,41 +11,35 @@
 //!
 //! * [`BenchLock`] + adapters — all ~19 lock algorithms behind one
 //!   object-safe interface (including `pthread` as a parking-lot futex
-//!   mutex);
-//! * [`LockKind`] — the registry mapping the paper's lock names to
-//!   constructors, with the exact lock sets of each figure/table; cohort
-//!   kinds can also be built with any [`PolicySpec`]-described handoff
-//!   policy ([`LockKind::make_with_policy`]);
-//! * [`run_lbench`] — the measurement loop, in virtual-time mode
-//!   (hardware-independent, see DESIGN.md §2) or wall mode (for real
-//!   NUMA boxes). Cohort runs additionally report per-tenure handoff
-//!   statistics (tenures, migrations per tenure, mean/max streak) from
-//!   the policy's counters.
-//!
-//! The reader-writer extension mirrors all three: [`BenchRwLock`] +
-//! adapters erase the C-RW locks (plus the `std::sync::RwLock` and
-//! exclusive-read baselines), [`RwLockKind`] names them, and
-//! [`run_rw_lbench`] drives a `read_pct`-weighted mix through them for
-//! the `fig_rw` exhibit.
-//!
-//! Underneath both sits the **scenario engine** (the `scenario` module):
-//! a [`Scenario`] describes the per-thread op mix (exclusive /
-//! shared-read / abortable-with-patience) and its [`LoadShape`] over time
-//! (steady, bursty on/off, phased read-ratio schedule, thread-asymmetric
-//! idling); [`run_scenario`] is the ONE measurement loop, driving any
-//! [`AnyLockKind`] — the unified registry over [`LockKind`] and
-//! [`RwLockKind`] — through the single erased [`BenchRwLock`] interface
-//! ([`MutexAsRw`] subsumes every [`BenchLock`]). `run_lbench` and
-//! `run_rw_lbench` are thin compatibility wrappers over it.
+//!   mutex), with [`BenchRwLock`] + adapters doing the same for the C-RW
+//!   locks (plus the `std::sync::RwLock` and exclusive-read baselines);
+//! * [`LockKind`] / [`RwLockKind`] — the registries mapping the paper's
+//!   lock names to constructors, with the exact lock sets of each
+//!   figure/table, unified as [`AnyLockKind`]; policy-driven kinds (one
+//!   [`LockFamily`] descriptor says which) can be built with any
+//!   [`PolicySpec`]-described handoff policy;
+//! * [`run_scenario`] — the ONE measurement entry point. A [`Scenario`]
+//!   describes the per-thread op mix (exclusive / shared-read /
+//!   abortable-with-patience), its [`LoadShape`] over time (steady,
+//!   bursty on/off, phased read-ratio schedule, thread-asymmetric
+//!   idling), and optionally a keyed service ([`KeyedSpec`]: an N-shard
+//!   KV store, an allocator arena). Every realtime scenario runs through
+//!   one real-thread worker loop — an unkeyed scenario is a one-lock
+//!   [`KeyedService`] running the paper's critical section — on virtual
+//!   clocks priced by the coherence cost model (hardware-independent,
+//!   see DESIGN.md §2). Cohort runs additionally report per-tenure
+//!   handoff statistics (tenures, migrations per tenure, mean/max
+//!   streak) from the policy's counters.
 //!
 //! A scenario's [`CostMode`] selects the execution substrate: `RealTime`
-//! (real threads, modelled prices — the historical behaviour) or
-//! `Modelled` (a single-threaded discrete-event simulation over the same
-//! coherence cost model, bit-reproducible run to run — see the
-//! `modelled` module docs and ARCHITECTURE.md's "Modelled coherence
-//! mode"). The admission order a kind gets in modelled mode is published
-//! as [`AnyLockKind::modelled_admission`] ([`ModelledAdmission`],
-//! [`TenureLimit`]).
+//! (real threads, modelled prices) or `Modelled` (a single-threaded
+//! discrete-event simulation over the same coherence cost model,
+//! bit-reproducible run to run — see the `modelled` module docs and
+//! ARCHITECTURE.md's "Modelled coherence mode"). The admission order a
+//! kind gets in modelled mode is published as
+//! [`AnyLockKind::modelled_admission`] ([`ModelledAdmission`],
+//! [`TenureLimit`]). Wall-clock costs of the public API are measured
+//! from outside by the `perfbench` package.
 
 #![deny(missing_docs)]
 
@@ -68,13 +62,12 @@ pub use bench_lock::{
 pub use bench_rwlock::{BenchRwLock, CohortRwAdapter, MutexAsRw, StdRwAdapter};
 pub use cohort::{CohortStats, PolicySpec};
 pub use env::EnvKnobError;
-pub use keyed::{KeyDist, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, KeyedSpec};
-pub use phys::TopologyMode;
-pub use registry::{AnyLockKind, LockKind, ModelledAdmission, RwLockKind, TenureLimit};
-pub use runner::{
-    run_lbench, run_lbench_on, run_rw_lbench, LBenchConfig, LBenchResult, Placement, RwBenchResult,
-    TimeMode,
+pub use keyed::{
+    KeyDist, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, KeyedSpec, OpOutcome,
 };
+pub use phys::TopologyMode;
+pub use registry::{AnyLockKind, LockFamily, LockKind, ModelledAdmission, RwLockKind, TenureLimit};
+pub use runner::{LBenchConfig, Placement};
 pub use scenario::{
     run_scenario, run_scenario_on, CostMode, LoadShape, Phase, Scenario, ScenarioResult,
 };

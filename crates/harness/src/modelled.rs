@@ -46,8 +46,8 @@
 //! * **Nothing reads the wall clock** except the diagnostic
 //!   `ScenarioResult::wall` field, which the determinism contract (and
 //!   `ScenarioResult::first_divergence`) explicitly excludes.
-//!   `cfg.mode` / `cfg.pace_wall` / `cfg.max_wall` are ignored: there is
-//!   no wall time to pace against and no scheduler to escape.
+//!   `cfg.max_wall` is ignored: there is no wall time to pace against
+//!   and no scheduler to escape.
 //!
 //! Tenure statistics (`tenures`/`local_handoffs`/streaks) are booked by
 //! the simulator for batched kinds with the same invariant the real
@@ -58,9 +58,10 @@ use crate::bench_rwlock::BenchRwLock;
 use crate::registry::{AnyLockKind, ModelledAdmission, TenureLimit};
 use crate::runner::LBenchConfig;
 use crate::scenario::{
-    cluster_for, merge_lat_reservoirs, percentile, LatReservoir, Scenario, ScenarioResult,
+    cluster_for, merge_lat_reservoirs, LatReservoir, Scenario, ScenarioResult, Tally,
 };
 use coherence_sim::{take_thread_stats, CostModel, Directory, HandoffChannel};
+use cohort::{ClusterStats, CohortStats};
 use numa_topology::{vclock, ClusterId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -510,89 +511,39 @@ pub(crate) fn run_modelled(
     let run_stats = take_thread_stats();
     vclock::set(saved_clock);
 
-    let mut per_thread_ops = Vec::with_capacity(cfg.threads);
-    let mut read_ops = 0u64;
-    let mut write_ops = 0u64;
-    let mut aborts = 0u64;
+    let batched = matches!(sim.admission, ModelledAdmission::ClusterBatched(_));
+    let book = sim.book;
+    let mut tally = Tally {
+        remote_misses: run_stats.remote_misses,
+        acquisitions: sim.handoff.acquisitions(),
+        migrations: sim.handoff.migrations(),
+        batch_hist: sim.handoff.batches().snapshot().to_vec(),
+        // The simulator's tenure book, in the real locks' counter shape
+        // (every tenure is closed by the end of the run). The fast-path
+        // word and the GCR admission layer are not part of the modelled
+        // mechanism abstraction (see module docs), so their counters
+        // stay 0.
+        cohort: batched.then(|| CohortStats {
+            per_cluster: vec![ClusterStats {
+                tenures: book.tenures,
+                local_handoffs: book.local_handoffs,
+                global_releases: book.tenures,
+                max_streak: book.max_streak,
+                sum_streak: book.sum_streak,
+            }],
+            ..CohortStats::default()
+        }),
+        policy: lock.policy_label(),
+        succ_transitions: sim.succ_transitions,
+        ..Tally::default()
+    };
     let mut lat_parts = Vec::with_capacity(cfg.threads);
     for th in sim.ths {
-        per_thread_ops.push(th.reads + th.writes);
-        read_ops += th.reads;
-        write_ops += th.writes;
-        aborts += th.aborts;
+        tally.add_thread(th.reads, th.writes, th.aborts);
         lat_parts.push(th.lat.into_parts());
     }
-    let mut lat = merge_lat_reservoirs(lat_parts);
-    lat.sort_unstable();
-
-    let total_ops = read_ops + write_ops;
-    let acquisitions = sim.handoff.acquisitions();
-    let migrations = sim.handoff.migrations();
-    let remote_misses = run_stats.remote_misses;
-    let window_s = cfg.window_ns as f64 / 1e9;
-    let (_, stddev_pct) = crate::stats::mean_stddev_pct(&per_thread_ops);
-    let book = sim.book;
-    let batched = matches!(sim.admission, ModelledAdmission::ClusterBatched(_));
-    let (tenures, local_handoffs) = if batched {
-        (book.tenures, book.local_handoffs)
-    } else {
-        (0, 0)
-    };
-    ScenarioResult {
-        kind,
-        threads: cfg.threads,
-        read_pct: scenario.read_pct,
-        read_ops,
-        write_ops,
-        total_ops,
-        throughput: total_ops as f64 / window_s,
-        acquisitions,
-        migrations,
-        remote_misses,
-        misses_per_cs: if acquisitions > 0 {
-            (remote_misses + migrations) as f64 / acquisitions as f64
-        } else {
-            0.0
-        },
-        mean_batch: if migrations > 0 {
-            acquisitions as f64 / migrations as f64
-        } else {
-            acquisitions as f64
-        },
-        aborts,
-        abort_rate: if total_ops + aborts > 0 {
-            aborts as f64 / (total_ops + aborts) as f64
-        } else {
-            0.0
-        },
-        stddev_pct,
-        policy: lock.policy_label(),
-        tenures,
-        local_handoffs,
-        mean_streak: if batched && tenures > 0 {
-            book.sum_streak as f64 / tenures as f64
-        } else {
-            0.0
-        },
-        max_streak: if batched { book.max_streak } else { 0 },
-        migrations_per_tenure: if tenures > 0 {
-            migrations as f64 / tenures as f64
-        } else {
-            0.0
-        },
-        // The fast-path word and the GCR admission layer are not part of
-        // the modelled mechanism abstraction (see module docs).
-        fast_acquisitions: 0,
-        slow_acquisitions: 0,
-        passive_parks: 0,
-        promotions: 0,
-        succ_transitions: sim.succ_transitions,
-        batch_hist: sim.handoff.batches().snapshot().to_vec(),
-        lat_p50_ns: percentile(&lat, 50.0),
-        lat_p99_ns: percentile(&lat, 99.0),
-        per_thread_ops,
-        wall: started.elapsed(),
-    }
+    tally.lat = merge_lat_reservoirs(lat_parts);
+    ScenarioResult::assemble(kind, scenario, cfg, tally, started.elapsed())
 }
 
 #[cfg(test)]

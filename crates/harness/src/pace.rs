@@ -1,10 +1,12 @@
-//! Wall-pacing utilities shared by all virtual-time workload drivers.
+//! Wall-pacing utilities shared by the real-thread loop and the keyed
+//! services it drives.
 //!
-//! See `LBenchConfig::pace_wall` for the full rationale: on an
+//! See [`LBenchConfig`](crate::LBenchConfig) for the full rationale: on an
 //! oversubscribed host the *real* execution must keep its arrival order
 //! and queue depths consistent with the virtual-time model, which is
 //! achieved by also waiting out every modelled delay in wall time, scaled
-//! by a factor κ that out-paces the host's scheduler-round granularity.
+//! by a factor κ ([`kappa_for`]) that out-paces the host's scheduler-round
+//! granularity.
 
 /// Busy-waits `ns` of wall time; with `yielding`, cedes the CPU between
 /// probes so other workers make progress during the wait.

@@ -63,6 +63,47 @@ pub enum LockKind {
     ACBoClh,
 }
 
+/// The lock family a [`LockKind`] belongs to (see [`LockKind::family`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum LockFamily {
+    /// NUMA-oblivious baselines and the prior NUMA-aware locks
+    /// (HBO/HCLH/FC-MCS, abortable CLH/HBO): no policy knob.
+    Plain,
+    /// The paper's cohort compositions, including the abortable ones and
+    /// C-Recip-MCS (a reciprocating global lock over local MCS queues).
+    Cohort,
+    /// CNA: not a cohort lock, but policy-driven all the same.
+    Cna,
+    /// Fissile fast-path locks: a TATAS word over a cohort slow path,
+    /// policy-driven through it, with fast-vs-slow accounting in their
+    /// `CohortStats`.
+    Fissile,
+    /// GCR admission wrappers (a concurrency-restriction layer over some
+    /// inner lock — see `cohort::gcr`; park/promotion accounting shows up
+    /// in their `CohortStats`).
+    Gcr {
+        /// Whether the wrapped lock honors a handoff policy.
+        policy_driven: bool,
+    },
+    /// The plain Reciprocating lock: its admission order (palindromic
+    /// segments) is structural, not tunable.
+    Reciprocating,
+}
+
+impl LockFamily {
+    /// Whether a [`PolicySpec`] applies — the cohort locks, the CNA
+    /// family, the fissile wrappers (whose slow path is a cohort lock),
+    /// and the GCR wrappers over policy-driven inner locks share the
+    /// handoff-policy knob.
+    pub fn has_policy_knob(self) -> bool {
+        match self {
+            LockFamily::Cohort | LockFamily::Cna | LockFamily::Fissile => true,
+            LockFamily::Gcr { policy_driven } => policy_driven,
+            LockFamily::Plain | LockFamily::Reciprocating => false,
+        }
+    }
+}
+
 impl LockKind {
     /// The name used in the paper's figures and tables.
     pub fn name(self) -> &'static str {
@@ -98,44 +139,46 @@ impl LockKind {
         }
     }
 
-    /// Whether this is one of the paper's cohort locks.
-    pub fn is_cohort(self) -> bool {
-        matches!(
-            self,
+    /// The family this kind belongs to — the one classification
+    /// [`has_policy_knob`](Self::has_policy_knob) and
+    /// [`AnyLockKind::modelled_admission`] derive from.
+    pub fn family(self) -> LockFamily {
+        match self {
+            LockKind::Pthread
+            | LockKind::Tatas
+            | LockKind::FibBo
+            | LockKind::Ticket
+            | LockKind::Mcs
+            | LockKind::Clh
+            | LockKind::Hbo
+            | LockKind::HboTuned
+            | LockKind::Hclh
+            | LockKind::FcMcs
+            | LockKind::AClh
+            | LockKind::AHbo => LockFamily::Plain,
             LockKind::CBoBo
-                | LockKind::CTktTkt
-                | LockKind::CBoMcs
-                | LockKind::CTktMcs
-                | LockKind::CMcsMcs
-                | LockKind::CRecipMcs
-                | LockKind::ACBoBo
-                | LockKind::ACBoClh
-        )
-    }
-
-    /// Whether this kind's admission order is the Reciprocating lock's
-    /// palindromic segment schedule (plain, or in the global position of
-    /// a cohort composition).
-    pub fn is_recip(self) -> bool {
-        matches!(self, LockKind::Recip | LockKind::CRecipMcs)
+            | LockKind::CTktTkt
+            | LockKind::CBoMcs
+            | LockKind::CTktMcs
+            | LockKind::CMcsMcs
+            | LockKind::CRecipMcs
+            | LockKind::ACBoBo
+            | LockKind::ACBoClh => LockFamily::Cohort,
+            LockKind::Cna | LockKind::CnaTight => LockFamily::Cna,
+            LockKind::FisBoMcs | LockKind::FisTktMcs => LockFamily::Fissile,
+            LockKind::GcrMcs => LockFamily::Gcr {
+                policy_driven: false,
+            },
+            LockKind::GcrCBoMcs | LockKind::GcrFisBoMcs => LockFamily::Gcr {
+                policy_driven: true,
+            },
+            LockKind::Recip => LockFamily::Reciprocating,
+        }
     }
 
     /// Fairness threshold of the [`LockKind::CnaTight`] variant (also
     /// baked into its `"CNA (t=4)"` display name — keep the two in sync).
     pub const CNA_TIGHT_THRESHOLD: u64 = 4;
-
-    /// Whether this is a CNA lock (not a cohort lock, but policy-driven
-    /// all the same).
-    pub fn is_cna(self) -> bool {
-        matches!(self, LockKind::Cna | LockKind::CnaTight)
-    }
-
-    /// Whether this is a fissile fast-path lock (a TATAS word over a
-    /// cohort slow path — policy-driven through the wrapped cohort
-    /// lock, with fast-vs-slow accounting in its `CohortStats`).
-    pub fn is_fissile(self) -> bool {
-        matches!(self, LockKind::FisBoMcs | LockKind::FisTktMcs)
-    }
 
     /// The CNA fairness threshold this kind is registered with (`None`
     /// for non-CNA kinds) — the single source the `fig_cna` self-check
@@ -148,25 +191,10 @@ impl LockKind {
         }
     }
 
-    /// Whether this is a GCR admission wrapper (a concurrency-restriction
-    /// layer over some inner lock — see `cohort::gcr`; park/promotion
-    /// accounting shows up in its `CohortStats`).
-    pub fn is_gcr(self) -> bool {
-        matches!(
-            self,
-            LockKind::GcrMcs | LockKind::GcrCBoMcs | LockKind::GcrFisBoMcs
-        )
-    }
-
-    /// Whether a [`PolicySpec`] applies to this kind — the cohort locks,
-    /// the CNA family, the fissile wrappers (whose slow path is a cohort
-    /// lock), and the GCR wrappers over policy-driven inner locks share
-    /// the handoff-policy knob.
+    /// Whether a [`PolicySpec`] applies to this kind (see
+    /// [`LockFamily::has_policy_knob`]).
     pub fn has_policy_knob(self) -> bool {
-        self.is_cohort()
-            || self.is_cna()
-            || self.is_fissile()
-            || matches!(self, LockKind::GcrCBoMcs | LockKind::GcrFisBoMcs)
+        self.family().has_policy_knob()
     }
 
     /// Instantiates the lock over `topo`.
@@ -629,31 +657,11 @@ impl AnyLockKind {
         }
     }
 
-    /// Instantiates the lock over `topo` with an explicit handoff policy
-    /// (kinds without a policy knob ignore it, as in
-    /// [`LockKind::make_with_policy`]).
-    pub fn make_with_policy(
-        self,
-        topo: &Arc<Topology>,
-        policy: PolicySpec,
-    ) -> Arc<dyn BenchRwLock> {
-        self.make(topo, Some(policy))
-    }
-
     /// Whether a [`PolicySpec`] applies to this kind.
     pub fn has_policy_knob(self) -> bool {
         match self {
             AnyLockKind::Excl(k) => k.has_policy_knob(),
             AnyLockKind::Rw(k) => k.has_policy_knob(),
-        }
-    }
-
-    /// Whether this kind belongs to the cohort family (exclusive cohort
-    /// compositions or the cohort RW locks).
-    pub fn is_cohort_family(self) -> bool {
-        match self {
-            AnyLockKind::Excl(k) => k.is_cohort(),
-            AnyLockKind::Rw(k) => k.is_cohort_rw(),
         }
     }
 }
@@ -733,21 +741,21 @@ impl AnyLockKind {
         // but FIFO: its admission order is the detached-segment reversal.
         // (C-Recip-MCS is a cohort composition and books as
         // ClusterBatched below, like every other cohort kind.)
-        if let AnyLockKind::Excl(LockKind::Recip) = self {
-            return ModelledAdmission::ReciprocatingStack;
-        }
-        if !self.has_policy_knob() {
-            return ModelledAdmission::Fifo;
-        }
-        let default_bound = match self {
-            // CNA kinds carry their threshold in the registry.
-            AnyLockKind::Excl(k) if k.is_cna() => {
-                k.cna_threshold().unwrap_or(cohort::CountBound::PAPER_BOUND)
+        match self {
+            AnyLockKind::Excl(k) if k.family() == LockFamily::Reciprocating => {
+                return ModelledAdmission::ReciprocatingStack
             }
-            // Cohort compositions (incl. fissile/GCR wrappers and the
-            // cohort RW kinds) default to the paper's count(64).
-            _ => cohort::CountBound::PAPER_BOUND,
-        };
+            _ if !self.has_policy_knob() => return ModelledAdmission::Fifo,
+            _ => {}
+        }
+        // CNA kinds carry their threshold in the registry; cohort
+        // compositions (incl. fissile/GCR wrappers and the cohort RW
+        // kinds) default to the paper's count(64).
+        let default_bound = match self {
+            AnyLockKind::Excl(k) => k.cna_threshold(),
+            AnyLockKind::Rw(_) => None,
+        }
+        .unwrap_or(cohort::CountBound::PAPER_BOUND);
         let limit = match policy {
             Some(spec) => TenureLimit::from_policy(spec),
             None => TenureLimit::Count(default_bound),
@@ -852,43 +860,36 @@ mod tests {
 
     #[test]
     fn cohort_classification() {
-        assert!(LockKind::CBoMcs.is_cohort());
-        assert!(LockKind::ACBoClh.is_cohort());
-        assert!(!LockKind::FcMcs.is_cohort());
-        assert!(!LockKind::Hbo.is_cohort());
+        use LockFamily::*;
+        assert_eq!(LockKind::CBoMcs.family(), Cohort);
+        assert_eq!(LockKind::ACBoClh.family(), Cohort);
+        assert_eq!(LockKind::FcMcs.family(), Plain);
+        assert_eq!(LockKind::Hbo.family(), Plain);
         // CNA is policy-driven but not a cohort lock.
-        assert!(!LockKind::Cna.is_cohort());
-        assert!(LockKind::Cna.is_cna());
+        assert_eq!(LockKind::Cna.family(), Cna);
         assert!(LockKind::CnaTight.has_policy_knob());
         assert!(LockKind::CBoMcs.has_policy_knob());
         assert!(!LockKind::Mcs.has_policy_knob());
         // Fissile wrappers are policy-driven through their slow path but
         // are neither plain cohort locks nor CNA.
-        assert!(LockKind::FisBoMcs.is_fissile());
+        assert_eq!(LockKind::FisBoMcs.family(), Fissile);
         assert!(LockKind::FisTktMcs.has_policy_knob());
-        assert!(!LockKind::FisBoMcs.is_cohort());
-        assert!(!LockKind::FisBoMcs.is_cna());
-        assert!(!LockKind::Tatas.is_fissile());
+        assert_eq!(LockKind::Tatas.family(), Plain);
         // GCR wrappers are their own family: the policy knob applies
         // only where the wrapped lock is policy-driven.
-        assert!(LockKind::GcrMcs.is_gcr());
-        assert!(LockKind::GcrCBoMcs.is_gcr());
+        for k in [LockKind::GcrMcs, LockKind::GcrCBoMcs, LockKind::GcrFisBoMcs] {
+            assert!(matches!(k.family(), Gcr { .. }), "{k}");
+        }
         assert!(!LockKind::GcrMcs.has_policy_knob());
         assert!(LockKind::GcrCBoMcs.has_policy_knob());
         assert!(LockKind::GcrFisBoMcs.has_policy_knob());
-        assert!(!LockKind::GcrCBoMcs.is_cohort());
-        assert!(!LockKind::GcrFisBoMcs.is_fissile());
-        assert!(!LockKind::Mcs.is_gcr());
         // The reciprocating family: the plain lock has no policy knob
         // (its admission order is structural, not tunable), while the
         // cohortized form is a full cohort composition.
-        assert!(LockKind::Recip.is_recip());
-        assert!(LockKind::CRecipMcs.is_recip());
-        assert!(!LockKind::Recip.is_cohort());
+        assert_eq!(LockKind::Recip.family(), Reciprocating);
         assert!(!LockKind::Recip.has_policy_knob());
-        assert!(LockKind::CRecipMcs.is_cohort());
+        assert_eq!(LockKind::CRecipMcs.family(), Cohort);
         assert!(LockKind::CRecipMcs.has_policy_knob());
-        assert!(!LockKind::Mcs.is_recip());
         assert_eq!(LockKind::Cna.cna_threshold(), Some(64));
         assert_eq!(
             LockKind::CnaTight.cna_threshold(),
@@ -1023,13 +1024,14 @@ mod tests {
             lock.release_read();
             lock.acquire_write();
             lock.release_write();
-            let shared_reads = kind.is_cohort() || kind == LockKind::Pthread;
+            let cohort = kind.family() == LockFamily::Cohort;
+            let shared_reads = cohort || kind == LockKind::Pthread;
             assert_eq!(
                 lock.read_is_exclusive(),
                 !shared_reads,
                 "{kind}: only cohort kinds and pthread gain a shared read path"
             );
-            if kind.is_cohort() {
+            if cohort {
                 assert!(lock.cohort_stats().is_some(), "{kind}");
             }
         }
@@ -1072,10 +1074,8 @@ mod tests {
             "the single-writer baseline's wrapped cohort lock honors the knob"
         );
         assert!(!AnyLockKind::Rw(RwLockKind::StdRw).has_policy_knob());
-        assert!(AnyLockKind::Rw(RwLockKind::CRwWpBoMcs).is_cohort_family());
-        assert!(!AnyLockKind::Excl(LockKind::Cna).is_cohort_family());
-        let with_policy = AnyLockKind::Excl(LockKind::CTktMcs)
-            .make_with_policy(&topo, PolicySpec::Count { bound: 2 });
+        let with_policy =
+            AnyLockKind::Excl(LockKind::CTktMcs).make(&topo, Some(PolicySpec::Count { bound: 2 }));
         assert_eq!(with_policy.policy_label().as_deref(), Some("count(2)"));
     }
 

@@ -24,7 +24,7 @@ use coherence_sim::{CostModel, Directory, HandoffChannel};
 use lbench::pace::spin_wall;
 use lbench::{
     AnyLockKind, CohortStats, KeyedCtx, KeyedOp, KeyedService, KeyedServiceFactory, LBenchConfig,
-    LockKind, PolicySpec, RwLockKind, Scenario,
+    LockKind, OpOutcome, PolicySpec, RwLockKind, Scenario,
 };
 use numa_topology::{vclock, ClusterId, Topology};
 use rand::rngs::StdRng;
@@ -280,7 +280,8 @@ struct KvService {
 }
 
 impl KeyedService for KvService {
-    fn op(&self, op: &KeyedOp, ctx: &KeyedCtx<'_>, _rng: &mut StdRng) -> bool {
+    fn op(&self, op: &KeyedOp, ctx: &KeyedCtx<'_>, _rng: &mut StdRng) -> OpOutcome {
+        let start = vclock::now();
         self.store.op(
             op.key,
             op.is_read,
@@ -290,7 +291,7 @@ impl KeyedService for KvService {
             ctx.window_ns,
             ctx.stop,
         );
-        true
+        OpOutcome::since(start)
     }
 
     fn acquisitions(&self) -> u64 {

@@ -1,7 +1,10 @@
 //! Integration: the may-pass-local policy bounds cohort tenures.
 
 use cohort::{CohortLock, GlobalBoLock, LocalMcsLock, PassPolicy, PolicySpec};
-use lbench::{run_lbench, run_lbench_on, LBenchConfig, LockKind, RawAdapter};
+use lbench::{
+    run_scenario, run_scenario_on, AnyLockKind, LBenchConfig, LockKind, MutexAsRw, RawAdapter,
+    Scenario,
+};
 use numa_topology::Topology;
 use std::sync::Arc;
 
@@ -14,10 +17,11 @@ fn run_with_bound(policy: PassPolicy) -> f64 {
         window_ns: 3_000_000,
         ..Default::default()
     };
-    let r = run_lbench_on(
-        LockKind::CBoMcs,
-        Arc::new(RawAdapter::new(lock)),
+    let r = run_scenario_on(
+        AnyLockKind::Excl(LockKind::CBoMcs),
+        Arc::new(MutexAsRw::new(Arc::new(RawAdapter::new(lock)))),
         topo,
+        &Scenario::steady(),
         &cfg,
     );
     r.mean_batch
@@ -57,7 +61,7 @@ fn run_cna_with_bound(bound: u64) -> (f64, u64) {
         policy: Some(PolicySpec::Count { bound }),
         ..Default::default()
     };
-    let r = run_lbench(LockKind::Cna, &cfg);
+    let r = run_scenario(AnyLockKind::Excl(LockKind::Cna), &Scenario::steady(), &cfg);
     (r.mean_batch, r.max_streak)
 }
 

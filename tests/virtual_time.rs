@@ -1,7 +1,11 @@
 //! Integration: end-to-end properties of the virtual-time methodology.
 
 use coherence_sim::CostModel;
-use lbench::{run_lbench, LBenchConfig, LockKind};
+use lbench::{run_scenario, AnyLockKind, LBenchConfig, LockKind, Scenario, ScenarioResult};
+
+fn steady(kind: LockKind, cfg: &LBenchConfig) -> ScenarioResult {
+    run_scenario(AnyLockKind::Excl(kind), &Scenario::steady(), cfg)
+}
 
 #[test]
 fn numa_benefit_vanishes_on_uniform_memory() {
@@ -15,10 +19,10 @@ fn numa_benefit_vanishes_on_uniform_memory() {
         cost,
         ..Default::default()
     };
-    let mcs_numa = run_lbench(LockKind::Mcs, &mk(CostModel::t5440()));
-    let cohort_numa = run_lbench(LockKind::CTktMcs, &mk(CostModel::t5440()));
-    let mcs_uma = run_lbench(LockKind::Mcs, &mk(CostModel::uniform(35)));
-    let cohort_uma = run_lbench(LockKind::CTktMcs, &mk(CostModel::uniform(35)));
+    let mcs_numa = steady(LockKind::Mcs, &mk(CostModel::t5440()));
+    let cohort_numa = steady(LockKind::CTktMcs, &mk(CostModel::t5440()));
+    let mcs_uma = steady(LockKind::Mcs, &mk(CostModel::uniform(35)));
+    let cohort_uma = steady(LockKind::CTktMcs, &mk(CostModel::uniform(35)));
 
     let numa_gain = cohort_numa.throughput / mcs_numa.throughput;
     let uma_gain = cohort_uma.throughput / mcs_uma.throughput;
@@ -40,7 +44,7 @@ fn migrations_counted_only_across_clusters() {
         window_ns: 1_000_000,
         ..Default::default()
     };
-    let r = run_lbench(LockKind::Mcs, &cfg);
+    let r = steady(LockKind::Mcs, &cfg);
     assert_eq!(r.migrations, 0, "one cluster cannot migrate");
     assert!(r.total_ops > 0);
 }
@@ -52,7 +56,7 @@ fn throughput_is_ops_over_window() {
         window_ns: 2_000_000,
         ..Default::default()
     };
-    let r = run_lbench(LockKind::Ticket, &cfg);
+    let r = steady(LockKind::Ticket, &cfg);
     let expect = r.total_ops as f64 / 0.002;
     assert!((r.throughput - expect).abs() < 1e-6);
 }
@@ -65,6 +69,6 @@ fn blocked_placement_runs() {
         window_ns: 1_000_000,
         ..Default::default()
     };
-    let r = run_lbench(LockKind::CBoBo, &cfg);
+    let r = steady(LockKind::CBoBo, &cfg);
     assert!(r.total_ops > 0);
 }
